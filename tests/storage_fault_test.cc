@@ -109,8 +109,12 @@ std::string QueryFrequent(CousinService& service) {
 
 /// Daemon-vs-daemon oracle: the answer a fresh daemon gives over
 /// exactly `batches` (same label-interning order WAL replay produces).
+/// The store is named after the calling test: ctest runs tests in parallel,
+/// and one test's RemoveStore must not delete another's open oracle store.
 std::string OracleCsv(const std::vector<std::string>& batches) {
-  const std::string wal = TempPath("storage_fault_oracle");
+  const std::string wal =
+      TempPath(std::string("storage_fault_oracle_") +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name());
   RemoveStore(wal);
   Result<std::unique_ptr<CousinService>> service =
       CousinService::Start(BaseConfig(wal));

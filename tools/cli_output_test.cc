@@ -234,10 +234,11 @@ TEST(CliOutputTest, SigtermMidRunWritesPartialStateAndExitsThree) {
 }
 
 /// A 12-tree forest with enough shared structure that --minsup=2 has
-/// stable frequent pairs; written to TempDir for the checkpoint drills.
-std::string WriteCheckpointForest() {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/cli_ckpt_forest.nwk";
+/// stable frequent pairs; written to TempDir/<name> for the checkpoint
+/// drills. Each drill passes its own name: ctest runs them in parallel, and
+/// one drill's cleanup must not delete the forest another is resuming over.
+std::string WriteCheckpointForest(const std::string& name) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + name;
   std::ofstream out(path);
   for (int i = 0; i < 4; ++i) {
     out << "((a,b),(c,(d,e)));\n";
@@ -248,7 +249,7 @@ std::string WriteCheckpointForest() {
 }
 
 TEST(CliOutputTest, CheckpointResumeAfterMidRunKillMatchesUninterrupted) {
-  const std::string forest = WriteCheckpointForest();
+  const std::string forest = WriteCheckpointForest("cli_ckpt_kill_forest.nwk");
   const std::string ckpt =
       std::string(::testing::TempDir()) + "/cli_ckpt_state";
   std::remove(ckpt.c_str());
@@ -282,7 +283,7 @@ TEST(CliOutputTest, CheckpointResumeAfterMidRunKillMatchesUninterrupted) {
 }
 
 TEST(CliOutputTest, CheckpointResumeAfterGovernanceTripMatchesBaseline) {
-  const std::string forest = WriteCheckpointForest();
+  const std::string forest = WriteCheckpointForest("cli_ckpt_trip_forest.nwk");
   const std::string ckpt =
       std::string(::testing::TempDir()) + "/cli_ckpt_trip_state";
   std::remove(ckpt.c_str());
