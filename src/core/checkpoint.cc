@@ -468,7 +468,7 @@ Result<MultiTreeMiner> MultiTreeMiner::RestoreFromCheckpointImpl(
               "nonzero aux word on a cousin-variant checkpoint tally");
         }
         fresh = miner.tables_[miner.TableIndex(twice_distance)].Add(
-            internal::PackLabelPair(a, b), support, occurrences);
+            internal::PackLabelPair(a, b), {support, occurrences});
         break;
       }
       case MinerVariant::kGeneralized: {
@@ -483,8 +483,8 @@ Result<MultiTreeMiner> MultiTreeMiner::RestoreFromCheckpointImpl(
           return Status::Corruption(
               "checkpoint tally kinship exceeds the generalized caps");
         }
-        fresh = miner.aux_tables_[0].Add(internal::PackLabelPair(a, b), aux,
-                                         support, occurrences);
+        fresh = miner.aux_tables_[0].Add({internal::PackLabelPair(a, b), aux},
+                                         {support, occurrences});
         break;
       }
       case MinerVariant::kWeighted: {
@@ -494,7 +494,7 @@ Result<MultiTreeMiner> MultiTreeMiner::RestoreFromCheckpointImpl(
               "checkpoint tally distance out of range");
         }
         fresh = miner.aux_tables_[static_cast<size_t>(twice_distance)].Add(
-            internal::PackLabelPair(a, b), aux, support, occurrences);
+            {internal::PackLabelPair(a, b), aux}, {support, occurrences});
         break;
       }
     }

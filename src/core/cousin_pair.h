@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cousin_distance.h"
@@ -33,6 +34,26 @@ struct CousinPairItem {
   friend auto operator<=>(const CousinPairItem&,
                           const CousinPairItem&) = default;
 };
+
+namespace internal {
+
+/// Packs an unordered label pair canonically (min in the high word) —
+/// the uint64 key of every pair-keyed tally table (tally_map.h).
+/// Labels are non-negative, so the all-ones empty sentinel is safe.
+inline uint64_t PackLabelPair(LabelId a, LabelId b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+         static_cast<uint32_t>(b);
+}
+
+inline LabelId UnpackFirst(uint64_t key) {
+  return static_cast<LabelId>(key >> 32);
+}
+inline LabelId UnpackSecond(uint64_t key) {
+  return static_cast<LabelId>(key & 0xFFFFFFFFu);
+}
+
+}  // namespace internal
 
 /// Key identifying a cousin pair at a distance (occurrence-agnostic).
 struct CousinPairKey {

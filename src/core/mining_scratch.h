@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/cousin_pair.h"
-#include "core/pair_count_map.h"
+#include "core/tally_map.h"
 
 namespace cousins {
 namespace internal {
@@ -36,11 +36,6 @@ using FlatCounts = std::vector<std::pair<LabelId, int64_t>>;
 /// across trees, so steady-state vector mining allocates nothing. The
 /// scalar kernels only touch the counters.
 struct FoldBuffer {
-  /// Packed item keys for the batched forest-tally fold, and their
-  /// precomputed tally-table home slots (hash moved off the fold's
-  /// Add dependency chain; see MultiTreeMiner::FoldItems).
-  std::vector<uint64_t> keys;
-  std::vector<uint64_t> slots;
   /// Sort-key scratch for the vector Normalize.
   std::vector<uint64_t> sort_keys;
   std::vector<std::pair<LabelId, int64_t>> tmp_counts;
@@ -81,7 +76,7 @@ struct MiningScratch {
   /// One accumulator per distance value (index = twice-distance);
   /// cleared between runs, capacity retained so steady-state mining
   /// never re-grows them.
-  std::vector<PairCountMap> acc;
+  std::vector<CountMap> acc;
   /// Output of the most recent MineSingleTreeScratch call.
   std::vector<CousinPairItem> items;
   /// Batch buffer + tier telemetry for the dispatched fold kernels;
@@ -98,10 +93,10 @@ struct MiningScratch {
   std::vector<LabelId> dense_to_global;
 
   /// Reactive accumulator rehashes across all distance maps — the
-  /// steady-state-no-growth regression signal (see PairCountMap::Stats).
+  /// steady-state-no-growth regression signal (see TallyTable::Stats).
   int64_t AccumulatorRehashes() const {
     int64_t total = 0;
-    for (const PairCountMap& m : acc) total += m.stats().rehashes;
+    for (const CountMap& m : acc) total += m.stats().grows;
     return total;
   }
 };

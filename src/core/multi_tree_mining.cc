@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/kernel_dispatch.h"
-#include "core/pair_count_map.h"
 #include "obs/governance_events.h"
 #include "obs/metrics.h"
 #include "obs/sched_events.h"
@@ -16,6 +14,8 @@
 namespace cousins {
 
 using internal::PackLabelPair;
+using internal::PairAux;
+using internal::Tally;
 using internal::UnpackFirst;
 using internal::UnpackSecond;
 
@@ -108,7 +108,7 @@ void MultiTreeMiner::EnsureTallyCapacity() {
   sized_for_labels_ = cardinality;
   const size_t live = TallyPresizeHint(cardinality);
   for (internal::TallyMap& table : tables_) table.ReserveLive(live);
-  for (internal::WideTallyMap& table : aux_tables_) table.ReserveLive(live);
+  for (internal::AuxTallyMap& table : aux_tables_) table.ReserveLive(live);
 }
 
 void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
@@ -126,58 +126,7 @@ void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
   // outer loop is the distance), so prefetching a few items ahead
   // almost always targets the table currently being probed.
   constexpr size_t kPrefetchAhead = 8;
-  const internal::FoldKernels& kernels = internal::ActiveKernels();
-  if (!options_.ignore_distance &&
-      kernels.tier != SimdTier::kScalar && items.size() >= 16) {
-    // Vector tier: pack all keys up front (4 per 256-bit lane) and
-    // precompute every item's tally home slot in a second tight pass,
-    // then fold behind a deeper prefetch that pulls every SoA array of
-    // the home slot — the Add loop runs with no hash arithmetic on its
-    // load-address chain at all. Add order is the item order —
-    // identical table layout to the scalar loop. A mid-fold grow
-    // invalidates the precomputed slots for that table; the per-item
-    // capacity check recomputes them (grows are rare after presize).
-    internal::FoldBuffer& fold = scratch_.fold;
-    const size_t n = items.size();
-    fold.keys.resize(n);
-    kernels.pack_item_keys(items.data(), n, fold.keys.data());
-    fold.slots.resize(n);
-    constexpr size_t kMaxHintedTables = 64;
-    size_t caps[kMaxHintedTables] = {0};
-    const bool hinted = tables_.size() <= kMaxHintedTables;
-    if (hinted) {
-      for (size_t t = 0; t < tables_.size(); ++t) {
-        caps[t] = tables_[t].capacity();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        fold.slots[i] = tables_[TableIndex(items[i].twice_distance)]
-                            .HomeSlot(fold.keys[i]);
-      }
-    }
-    constexpr size_t kEntryAhead = 24;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kEntryAhead < n) {
-        const size_t ta = TableIndex(items[i + kEntryAhead].twice_distance);
-        if (hinted && tables_[ta].capacity() == caps[ta]) {
-          tables_[ta].PrefetchEntryAt(fold.slots[i + kEntryAhead]);
-        } else {
-          tables_[ta].PrefetchEntry(fold.keys[i + kEntryAhead]);
-        }
-      }
-      const size_t t = TableIndex(items[i].twice_distance);
-      size_t home;
-      if (hinted && tables_[t].capacity() == caps[t]) {
-        home = fold.slots[i];
-      } else {
-        home = tables_[t].HomeSlot(fold.keys[i]);
-      }
-      total_tallies_ +=
-          tables_[t].AddFrom(home, fold.keys[i], 1, items[i].occurrences);
-      if (hinted) caps[t] = tables_[t].capacity();
-    }
-    COUSINS_METRIC_COUNTER_ADD("accum.simd_batches",
-                               static_cast<int64_t>(n / 4));
-  } else if (!options_.ignore_distance) {
+  if (!options_.ignore_distance) {
     for (size_t i = 0; i < items.size(); ++i) {
       if (i + kPrefetchAhead < items.size()) {
         const CousinPairItem& ahead = items[i + kPrefetchAhead];
@@ -185,10 +134,8 @@ void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
             PackLabelPair(ahead.label1, ahead.label2));
       }
       const CousinPairItem& item = items[i];
-      total_tallies_ +=
-          tables_[TableIndex(item.twice_distance)].Add(
-              PackLabelPair(item.label1, item.label2), 1,
-              item.occurrences);
+      total_tallies_ += tables_[TableIndex(item.twice_distance)].Add(
+          PackLabelPair(item.label1, item.label2), {1, item.occurrences});
     }
   } else {
     // Distance-ignored support: a tree supports (a, b, @) once no
@@ -201,7 +148,7 @@ void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
                         item.occurrences);
     }
     fold_scratch_.ForEach([&](uint64_t key, int64_t occurrences) {
-      total_tallies_ += tables_[0].Add(key, 1, occurrences);
+      total_tallies_ += tables_[0].Add(key, {1, occurrences});
     });
   }
 #if COUSINS_METRICS_ENABLED
@@ -219,18 +166,18 @@ void MultiTreeMiner::FoldGeneralized(
   COUSINS_FAULT_POINT("multiminer.fold");
   EnsureTallyCapacity();
   constexpr size_t kPrefetchAhead = 8;
-  internal::WideTallyMap& table = aux_tables_[0];
+  internal::AuxTallyMap& table = aux_tables_[0];
   for (size_t i = 0; i < items.size(); ++i) {
     if (i + kPrefetchAhead < items.size()) {
       const GeneralizedPairItem& ahead = items[i + kPrefetchAhead];
-      table.PrefetchKey(PackLabelPair(ahead.label1, ahead.label2),
-                        internal::PackHV(ahead.horizontal, ahead.vertical));
+      table.PrefetchKey({PackLabelPair(ahead.label1, ahead.label2),
+                         internal::PackHV(ahead.horizontal, ahead.vertical)});
     }
     const GeneralizedPairItem& item = items[i];
-    total_tallies_ += table.Add(
-        PackLabelPair(item.label1, item.label2),
-        internal::PackHV(item.horizontal, item.vertical), 1,
-        item.occurrences);
+    total_tallies_ +=
+        table.Add({PackLabelPair(item.label1, item.label2),
+                   internal::PackHV(item.horizontal, item.vertical)},
+                  {1, item.occurrences});
   }
 }
 
@@ -245,15 +192,15 @@ void MultiTreeMiner::FoldWeighted(
     if (i + kPrefetchAhead < items.size()) {
       const WeightedPairItem& ahead = items[i + kPrefetchAhead];
       aux_tables_[static_cast<size_t>(ahead.twice_distance)].PrefetchKey(
-          PackLabelPair(ahead.label1, ahead.label2),
-          internal::PackBucket(ahead.weight_bucket));
+          {PackLabelPair(ahead.label1, ahead.label2),
+           internal::PackBucket(ahead.weight_bucket)});
     }
     const WeightedPairItem& item = items[i];
     total_tallies_ +=
         aux_tables_[static_cast<size_t>(item.twice_distance)].Add(
-            PackLabelPair(item.label1, item.label2),
-            internal::PackBucket(item.weight_bucket), 1,
-            item.occurrences);
+            {PackLabelPair(item.label1, item.label2),
+             internal::PackBucket(item.weight_bucket)},
+            {1, item.occurrences});
   }
 }
 
@@ -396,17 +343,15 @@ void MultiTreeMiner::MergeFrom(const MultiTreeMiner& other) {
   COUSINS_CHECK(tables_.size() == other.tables_.size());
   for (size_t d = 0; d < tables_.size(); ++d) {
     internal::TallyMap& mine = tables_[d];
-    other.tables_[d].ForEach(
-        [&](uint64_t key, int32_t support, int64_t occurrences) {
-          total_tallies_ += mine.Add(key, support, occurrences);
-        });
+    other.tables_[d].ForEach([&](uint64_t key, Tally tally) {
+      total_tallies_ += mine.Add(key, tally);
+    });
   }
   COUSINS_CHECK(aux_tables_.size() == other.aux_tables_.size());
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
-    internal::WideTallyMap& mine = aux_tables_[d];
-    other.aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux,
-                                     int32_t support, int64_t occurrences) {
-      total_tallies_ += mine.Add(key, aux, support, occurrences);
+    internal::AuxTallyMap& mine = aux_tables_[d];
+    other.aux_tables_[d].ForEach([&](PairAux key, Tally tally) {
+      total_tallies_ += mine.Add(key, tally);
     });
   }
 }
@@ -426,17 +371,15 @@ void MultiTreeMiner::SubtractFrom(const MultiTreeMiner& other) {
   COUSINS_CHECK(tables_.size() == other.tables_.size());
   for (size_t d = 0; d < tables_.size(); ++d) {
     internal::TallyMap& mine = tables_[d];
-    other.tables_[d].ForEach(
-        [&](uint64_t key, int32_t support, int64_t occurrences) {
-          total_tallies_ += mine.Subtract(key, support, occurrences);
-        });
+    other.tables_[d].ForEach([&](uint64_t key, Tally tally) {
+      total_tallies_ += mine.Subtract(key, tally);
+    });
   }
   COUSINS_CHECK(aux_tables_.size() == other.aux_tables_.size());
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
-    internal::WideTallyMap& mine = aux_tables_[d];
-    other.aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux,
-                                     int32_t support, int64_t occurrences) {
-      total_tallies_ += mine.Subtract(key, aux, support, occurrences);
+    internal::AuxTallyMap& mine = aux_tables_[d];
+    other.aux_tables_[d].ForEach([&](PairAux key, Tally tally) {
+      total_tallies_ += mine.Subtract(key, tally);
     });
   }
 }
@@ -448,13 +391,13 @@ MultiTreeMiner::AccumulatorStats MultiTreeMiner::accumulator_stats()
     stats.tally_grows += t.stats().grows;
     stats.tally_probes += t.stats().probes;
   }
-  for (const internal::WideTallyMap& t : aux_tables_) {
+  for (const internal::AuxTallyMap& t : aux_tables_) {
     stats.tally_grows += t.stats().grows;
     stats.tally_probes += t.stats().probes;
   }
   stats.tally_entries = total_tallies_;
   stats.scratch_rehashes = scratch_.AccumulatorRehashes() +
-                           fold_scratch_.stats().rehashes +
+                           fold_scratch_.stats().grows +
                            variant_scratch_.AccumulatorRehashes();
   return stats;
 }
@@ -463,15 +406,13 @@ std::vector<FrequentCousinPair> MultiTreeMiner::FrequentPairs() const {
   std::vector<FrequentCousinPair> out;
   for (size_t d = 0; d < tables_.size(); ++d) {
     const int twice_distance = TableDistance(d);
-    tables_[d].ForEach(
-        [&](uint64_t key, int32_t support, int64_t occurrences) {
-          if (support >= options_.min_support) {
-            out.push_back(FrequentCousinPair{UnpackFirst(key),
-                                             UnpackSecond(key),
-                                             twice_distance, support,
-                                             occurrences});
-          }
-        });
+    tables_[d].ForEach([&](uint64_t key, Tally tally) {
+      if (tally.support >= options_.min_support) {
+        out.push_back(FrequentCousinPair{UnpackFirst(key), UnpackSecond(key),
+                                         twice_distance, tally.support,
+                                         tally.occurrences});
+      }
+    });
   }
   std::sort(out.begin(), out.end(),
             [](const FrequentCousinPair& a, const FrequentCousinPair& b) {
@@ -487,13 +428,11 @@ std::vector<FrequentCousinPair> MultiTreeMiner::AllTallies() const {
   out.reserve(static_cast<size_t>(total_tallies_));
   for (size_t d = 0; d < tables_.size(); ++d) {
     const int twice_distance = TableDistance(d);
-    tables_[d].ForEach(
-        [&](uint64_t key, int32_t support, int64_t occurrences) {
-          out.push_back(FrequentCousinPair{UnpackFirst(key),
-                                           UnpackSecond(key),
-                                           twice_distance, support,
-                                           occurrences});
-        });
+    tables_[d].ForEach([&](uint64_t key, Tally tally) {
+      out.push_back(FrequentCousinPair{UnpackFirst(key), UnpackSecond(key),
+                                       twice_distance, tally.support,
+                                       tally.occurrences});
+    });
   }
   std::sort(out.begin(), out.end(),
             [](const FrequentCousinPair& a, const FrequentCousinPair& b) {
@@ -508,11 +447,11 @@ std::vector<FrequentGeneralizedPair> MultiTreeMiner::AllGeneralizedTallies()
   std::vector<FrequentGeneralizedPair> out;
   if (aux_tables_.empty()) return out;
   out.reserve(static_cast<size_t>(total_tallies_));
-  aux_tables_[0].ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                             int64_t occurrences) {
+  aux_tables_[0].ForEach([&](PairAux key, Tally tally) {
     out.push_back(FrequentGeneralizedPair{
-        UnpackFirst(key), UnpackSecond(key), internal::UnpackH(aux),
-        internal::UnpackV(aux), support, occurrences});
+        UnpackFirst(key.pair), UnpackSecond(key.pair),
+        internal::UnpackH(key.aux), internal::UnpackV(key.aux), tally.support,
+        tally.occurrences});
   });
   std::sort(out.begin(), out.end(),
             [](const FrequentGeneralizedPair& a,
@@ -544,11 +483,10 @@ std::vector<FrequentWeightedPair> MultiTreeMiner::AllWeightedTallies() const {
   out.reserve(static_cast<size_t>(total_tallies_));
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
     const int twice_distance = static_cast<int>(d);
-    aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                               int64_t occurrences) {
+    aux_tables_[d].ForEach([&](PairAux key, Tally tally) {
       out.push_back(FrequentWeightedPair{
-          UnpackFirst(key), UnpackSecond(key), twice_distance,
-          internal::UnpackBucket(aux), support, occurrences});
+          UnpackFirst(key.pair), UnpackSecond(key.pair), twice_distance,
+          internal::UnpackBucket(key.aux), tally.support, tally.occurrences});
     });
   }
   std::sort(out.begin(), out.end(),

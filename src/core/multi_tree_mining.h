@@ -283,7 +283,7 @@ class MultiTreeMiner {
   /// Aux-keyed support tables for the generalized variant (one table,
   /// aux = packed (h, v)) and the weighted variant (one table per
   /// twice-distance, aux = bucket). Empty for the other variants.
-  std::vector<internal::WideTallyMap> aux_tables_;
+  std::vector<internal::AuxTallyMap> aux_tables_;
   /// Live tallies across all tables (== the old tallies_.size()).
   int64_t total_tallies_ = 0;
   /// Label cardinality the tables were last presized for.
@@ -291,7 +291,7 @@ class MultiTreeMiner {
   /// Reusable per-tree buffers (mining levels, accumulators, items)
   /// and the per-tree distance-collapse counter for ignore_distance.
   internal::MiningScratch scratch_;
-  internal::PairCountMap fold_scratch_;
+  internal::CountMap fold_scratch_;
   /// Reusable per-tree buffers of the non-cousin variant folds.
   internal::VariantScratch variant_scratch_;
   int tree_count_ = 0;

@@ -76,7 +76,7 @@ class ChunkDeque {
   std::deque<Chunk> chunks_;
 };
 
-/// splitmix64 — the same mix PairCountMap keys with; used here to
+/// splitmix64 — the same mix the tally tables key with; used here to
 /// derive each worker's deterministic starting victim from the
 /// scheduler seed.
 uint64_t MixSeed(uint64_t x) {

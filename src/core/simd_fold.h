@@ -1,7 +1,7 @@
 // Fold-kernel implementations behind the runtime SIMD dispatch
 // (kernel_dispatch.h): the scalar reference kernels and, on x86-64
-// builds, AVX2 kernels for the inclusion–exclusion cross product, the
-// level-set Normalize, and item-key packing.
+// builds, AVX2 kernels for the inclusion–exclusion cross product and
+// the level-set Normalize.
 //
 // Contract shared by every tier: accumulator Add calls are issued in
 // the scalar (x-outer, y-inner) order, so the open-addressing tables
@@ -23,7 +23,7 @@
 
 #include "core/cousin_pair.h"
 #include "core/mining_scratch.h"
-#include "core/pair_count_map.h"
+#include "core/tally_map.h"
 
 namespace cousins {
 namespace internal {
@@ -35,7 +35,7 @@ namespace internal {
 
 /// The pre-dispatch AddProduct, bit for bit: immediate Add per (x, y).
 void AddProductScalar(const FlatCounts& a, const FlatCounts& b, int64_t sign,
-                      PairCountMap* acc, FoldBuffer* buf);
+                      CountMap* acc, FoldBuffer* buf);
 
 /// Dense-tier cross product (reference implementation): labels in
 /// `a`/`b` are dense ids in [0, stride); emits sign * product into
@@ -52,16 +52,11 @@ void AddProductDenseScalar(const FlatCounts& a, const FlatCounts& b,
 /// Ignores `buf` (may be null).
 void NormalizeScalar(FlatCounts* counts, FoldBuffer* buf);
 
-/// Packs PackLabelPair(items[i].label1, items[i].label2) into
-/// out_keys[i] for i in [0, n).
-void PackItemKeysScalar(const CousinPairItem* items, size_t n,
-                        uint64_t* out_keys);
-
 /// Drains pre-packed keys into the accumulator with delta 1, in array
 /// order, behind the same grouped prefetch as the vector product
 /// kernel. Tier-independent helper for batched flushes of pre-ordered
 /// unit adds (free-tree variant path).
-void FlushUnitAdds(PairCountMap* acc, const uint64_t* keys, size_t n);
+void FlushUnitAdds(CountMap* acc, const uint64_t* keys, size_t n);
 
 // --- AVX2 kernels (x86-64 GCC/Clang builds only) ----------------------
 
@@ -76,7 +71,7 @@ bool Avx2KernelsCompiled();
 /// an exact 64-bit vector delta multiply, then drains each 4-lane
 /// batch into the accumulator immediately, in scalar Add order.
 void AddProductAvx2(const FlatCounts& a, const FlatCounts& b, int64_t sign,
-                    PairCountMap* acc, FoldBuffer* buf);
+                    CountMap* acc, FoldBuffer* buf);
 
 /// Dense-tier cross product, vectorized: 4 lanes of min/max + flat
 /// index arithmetic per step, scalar saturating stores. Identical
@@ -89,10 +84,6 @@ void AddProductDenseAvx2(const FlatCounts& a, const FlatCounts& b,
 /// 8-byte key sort replaces the 16-byte pair sort, and small inputs
 /// take a branch-light insertion sort. Output identical to scalar.
 void NormalizeAvx2(FlatCounts* counts, FoldBuffer* buf);
-
-/// 4-wide item-key packing via qword shuffles over the item array.
-void PackItemKeysAvx2(const CousinPairItem* items, size_t n,
-                      uint64_t* out_keys);
 
 #else
 #define COUSINS_SIMD_AVX2_COMPILED 0

@@ -5,18 +5,17 @@
 #include <utility>
 
 #include "core/kernel_dispatch.h"
-#include "core/pair_count_map.h"
 #include "obs/governance_events.h"
 #include "obs/metrics.h"
+#include "util/fault_injection.h"
 
 namespace cousins {
 namespace {
 
+using internal::CountMap;
 using internal::DensePairAccumulator;
 using internal::FlatCounts;
 using internal::MiningScratch;
-using internal::PackLabelPair;
-using internal::PairCountMap;
 using internal::UnpackFirst;
 using internal::UnpackSecond;
 
@@ -74,7 +73,7 @@ void ResetScratch(MiningScratch* scratch, size_t tree_size,
   if (scratch->levels.size() < tree_size) scratch->levels.resize(tree_size);
   const size_t num_acc = static_cast<size_t>(twice_maxdist) + 1;
   if (scratch->acc.size() != num_acc) scratch->acc.resize(num_acc);
-  for (PairCountMap& m : scratch->acc) m.Clear();
+  for (CountMap& m : scratch->acc) m.Clear();
   // Dense-tier residue: a truncated run leaves un-emitted cells
   // nonzero and a partially-unwound label remap; the dirty lists and
   // dense_to_global record exactly what to undo.
@@ -110,15 +109,15 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
   std::vector<std::vector<FlatCounts>>& levels = scratch->levels;
   // One accumulator per distance value; even distances collect ordered
   // pairs and are halved at the end.
-  std::vector<PairCountMap>& acc = scratch->acc;
+  std::vector<CountMap>& acc = scratch->acc;
 #if COUSINS_METRICS_ENABLED
   // Stats are cumulative over the scratch's lifetime; snapshot so the
   // per-call counters below report this tree's work only.
   int64_t probes_before = 0;
   int64_t rehashes_before = 0;
-  for (const PairCountMap& m : acc) {
+  for (const CountMap& m : acc) {
     probes_before += m.stats().probes;
-    rehashes_before += m.stats().rehashes;
+    rehashes_before += m.stats().grows;
   }
 #endif
 
@@ -156,6 +155,10 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
       // Grown cells are zero-filled; existing cells are already all
       // zero (the between-runs invariant), so no wipe is needed here.
       if (dense_acc[d].cells.size() < cells_needed) {
+        // The dense tier's per-tree accumulator growth: the same fault
+        // site as a count table's grow, so fault sweeps reach it on
+        // every tier.
+        COUSINS_FAULT_POINT("paircount.grow");
         dense_acc[d].cells.resize(cells_needed, 0);
       }
     }
@@ -185,7 +188,7 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
                      static_cast<int64_t>(d.dirty.capacity()) * 4;
           }
         } else {
-          for (const PairCountMap& m : acc) {
+          for (const CountMap& m : acc) {
             entries += static_cast<int64_t>(m.size());
             bytes += static_cast<int64_t>(m.capacity()) * 16;
           }
@@ -268,7 +271,7 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
   if (dense) {
     for (const DensePairAccumulator& d : dense_acc) total += d.dirty.size();
   } else {
-    for (const PairCountMap& m : acc) total += m.size();
+    for (const CountMap& m : acc) total += m.size();
   }
   items.reserve(std::min<size_t>(
       total, max_items == ResourceBudget::kUnlimited
@@ -332,9 +335,9 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
 #if COUSINS_METRICS_ENABLED
   int64_t probes = -probes_before;
   int64_t rehashes = -rehashes_before;
-  for (const PairCountMap& m : acc) {
+  for (const CountMap& m : acc) {
     probes += m.stats().probes;
-    rehashes += m.stats().rehashes;
+    rehashes += m.stats().grows;
   }
   COUSINS_METRIC_COUNTER_ADD("mine.single.calls", 1);
   COUSINS_METRIC_COUNTER_ADD("mine.single.nodes", tree.size());

@@ -87,7 +87,7 @@ Status MineFreeVariantScratch(const Tree& tree, const MiningOptions& options,
 
   const size_t num_acc = static_cast<size_t>(options.twice_maxdist) + 1;
   if (scratch->pair_acc.size() != num_acc) scratch->pair_acc.resize(num_acc);
-  for (PairCountMap& m : scratch->pair_acc) m.Clear();
+  for (CountMap& m : scratch->pair_acc) m.Clear();
   scratch->dist.assign(tree.size(), -1);
   scratch->queue.clear();
   // Under a vector tier the per-source flush into the accumulators is
@@ -117,7 +117,7 @@ Status MineFreeVariantScratch(const Tree& tree, const MiningOptions& options,
     if (governed && (node_tick++ & 63u) == 0) {
       int64_t entries = 0;
       int64_t bytes = 0;
-      for (const PairCountMap& m : scratch->pair_acc) {
+      for (const CountMap& m : scratch->pair_acc) {
         entries += static_cast<int64_t>(m.size());
         bytes += static_cast<int64_t>(m.capacity()) * 16;
       }
@@ -206,7 +206,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
       generalized.max_vertical < 0) {
     return Status::OK();
   }
-  WideTallyMap& acc = scratch->gen_acc;
+  AuxTallyMap& acc = scratch->gen_acc;
   acc.Clear();
 
   const int32_t max_level =
@@ -247,7 +247,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
           int64_t cross =
               SaturatingSub(SaturatingMul(cx, cy), same_child);
           if (x == y) cross /= 2;
-          if (cross > 0) acc.Add(PackLabelPair(x, y), aux, 0, cross);
+          if (cross > 0) acc.Add({PackLabelPair(x, y), aux}, {0, cross});
         }
       }
       return;
@@ -268,7 +268,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
         }
         const int64_t cross =
             SaturatingSub(SaturatingMul(cx, cy), same_child);
-        if (cross > 0) acc.Add(PackLabelPair(x, y), aux, 0, cross);
+        if (cross > 0) acc.Add({PackLabelPair(x, y), aux}, {0, cross});
       }
     }
   };
@@ -297,16 +297,16 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
 
   const int64_t max_items = context.budget().max_items;
   bool item_cap_hit = false;
-  acc.ForEach([&](uint64_t key, uint32_t aux, int32_t /*support*/,
-                  int64_t occurrences) {
+  acc.ForEach([&](PairAux key, Tally tally) {
+    const int64_t occurrences = tally.occurrences;
     if (occurrences >= options.min_occur && occurrences > 0) {
       if (static_cast<int64_t>(items.size()) >= max_items) {
         item_cap_hit = true;
         return;
       }
-      items.push_back(GeneralizedPairItem{UnpackFirst(key), UnpackSecond(key),
-                                          UnpackH(aux), UnpackV(aux),
-                                          occurrences});
+      items.push_back(GeneralizedPairItem{
+          UnpackFirst(key.pair), UnpackSecond(key.pair), UnpackH(key.aux),
+          UnpackV(key.aux), occurrences});
     }
   });
   if (item_cap_hit && termination.ok()) {
@@ -343,7 +343,7 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
   if (scratch->weighted_acc.size() != num_acc) {
     scratch->weighted_acc.resize(num_acc);
   }
-  for (WideTallyMap& m : scratch->weighted_acc) m.Clear();
+  for (AuxTallyMap& m : scratch->weighted_acc) m.Clear();
 
   std::vector<double>& weighted_depth = scratch->weighted_depth;
   weighted_depth.assign(tree.size(), 0.0);
@@ -361,7 +361,7 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
     if (governed && (node_tick++ & 15u) == 0) {
       int64_t entries = 0;
       int64_t bytes = 0;
-      for (const WideTallyMap& m : scratch->weighted_acc) {
+      for (const AuxTallyMap& m : scratch->weighted_acc) {
         entries += static_cast<int64_t>(m.size());
         bytes += static_cast<int64_t>(m.capacity()) * 24;
       }
@@ -384,27 +384,26 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
       const int32_t bucket =
           ClampWeightBucket(weighted_path, weighted.bucket_width);
       scratch->weighted_acc[twice_d].Add(
-          PackLabelPair(tree.label(u), tree.label(v)), PackBucket(bucket),
-          0, 1);
+          {PackLabelPair(tree.label(u), tree.label(v)), PackBucket(bucket)},
+          {0, 1});
     }
   }
 
   const int64_t max_items = context.budget().max_items;
   bool item_cap_hit = false;
   for (int twice_d = 0; twice_d <= options.twice_maxdist; ++twice_d) {
-    scratch->weighted_acc[twice_d].ForEach(
-        [&](uint64_t key, uint32_t aux, int32_t /*support*/,
-            int64_t occurrences) {
-          if (occurrences >= options.min_occur && occurrences > 0) {
-            if (static_cast<int64_t>(items.size()) >= max_items) {
-              item_cap_hit = true;
-              return;
-            }
-            items.push_back(WeightedPairItem{
-                UnpackFirst(key), UnpackSecond(key), twice_d,
-                UnpackBucket(aux), occurrences});
-          }
-        });
+    scratch->weighted_acc[twice_d].ForEach([&](PairAux key, Tally tally) {
+      const int64_t occurrences = tally.occurrences;
+      if (occurrences >= options.min_occur && occurrences > 0) {
+        if (static_cast<int64_t>(items.size()) >= max_items) {
+          item_cap_hit = true;
+          return;
+        }
+        items.push_back(WeightedPairItem{
+            UnpackFirst(key.pair), UnpackSecond(key.pair), twice_d,
+            UnpackBucket(key.aux), occurrences});
+      }
+    });
   }
   if (item_cap_hit && termination.ok()) {
     termination = ItemCapStatus(max_items);

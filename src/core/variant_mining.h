@@ -20,7 +20,6 @@
 #include "core/cousin_pair.h"
 #include "core/generalized_mining.h"
 #include "core/miner_variant.h"
-#include "core/pair_count_map.h"
 #include "core/tally_map.h"
 #include "core/weighted_mining.h"
 #include "tree/tree.h"
@@ -31,7 +30,7 @@ namespace cousins {
 namespace internal {
 
 /// Packs the generalized (horizontal, vertical) kinship into the
-/// WideTallyMap aux word. Requires 0 <= h, v <= 0xFFFF
+/// AuxTallyMap aux word. Requires 0 <= h, v <= 0xFFFF
 /// (ValidateVariantOptions enforces the caps).
 inline uint32_t PackHV(int32_t horizontal, int32_t vertical) {
   return (static_cast<uint32_t>(horizontal) << 16) |
@@ -70,20 +69,20 @@ struct VariantScratch {
   // one pair accumulator per twice-distance.
   std::vector<int32_t> dist;
   std::vector<NodeId> queue;
-  std::vector<PairCountMap> pair_acc;
+  std::vector<CountMap> pair_acc;
   std::vector<CousinPairItem> free_items;
   /// Per-distance key batches for the vector-tier accumulator flush
   /// (empty and unused under the scalar tier).
   std::vector<std::vector<uint64_t>> flush_keys;
 
   // Generalized fold: one (pair, aux=(h,v)) accumulator.
-  WideTallyMap gen_acc;
+  AuxTallyMap gen_acc;
   std::vector<GeneralizedPairItem> gen_items;
 
   // Weighted fold: weighted depths plus one (pair, aux=bucket)
   // accumulator per twice-distance.
   std::vector<double> weighted_depth;
-  std::vector<WideTallyMap> weighted_acc;
+  std::vector<AuxTallyMap> weighted_acc;
   std::vector<WeightedPairItem> weighted_items;
 
   /// Reactive accumulator rehashes across all variant accumulators —
@@ -91,9 +90,9 @@ struct VariantScratch {
   /// MiningScratch::AccumulatorRehashes.
   int64_t AccumulatorRehashes() const {
     int64_t total = 0;
-    for (const PairCountMap& m : pair_acc) total += m.stats().rehashes;
+    for (const CountMap& m : pair_acc) total += m.stats().grows;
     total += gen_acc.stats().grows;
-    for (const WideTallyMap& m : weighted_acc) total += m.stats().grows;
+    for (const AuxTallyMap& m : weighted_acc) total += m.stats().grows;
     return total;
   }
 };

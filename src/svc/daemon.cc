@@ -807,7 +807,16 @@ void ServeConnection(int in_fd, int out_fd, CousinService& service,
                      std::atomic<bool>* stop) {
   std::string body;
   for (;;) {
-    Result<bool> got = ReadFrame(in_fd, &body);
+    // The stream fault sites svc.read and svc.write are checked here,
+    // not in the frame codec, so only the daemon's side of a connection
+    // consumes their hits: clients share ReadFrame/WriteFrame.
+    Result<bool> got = false;
+    if (fault::Fired("svc.read")) {
+      COUSINS_METRIC_COUNTER_ADD("svc.read_failures", 1);
+      got = Status::Unavailable("injected fault at svc.read");
+    } else {
+      got = ReadFrame(in_fd, &body);
+    }
     if (!got.ok()) {
       // A torn frame or injected read fault drops this connection
       // only; the daemon (and every other connection) keeps serving.
@@ -824,7 +833,13 @@ void ServeConnection(int in_fd, int out_fd, CousinService& service,
       response = service.Handle(*request);
       served_drain = request->verb == "DRAIN" && response.status.ok();
     }
-    Status written = WriteFrame(out_fd, RenderResponse(response));
+    Status written;
+    if (fault::Fired("svc.write")) {
+      COUSINS_METRIC_COUNTER_ADD("svc.write_failures", 1);
+      written = Status::Unavailable("injected fault at svc.write");
+    } else {
+      written = WriteFrame(out_fd, RenderResponse(response));
+    }
     if (!written.ok()) {
       COUSINS_METRIC_COUNTER_ADD("svc.conn_errors", 1);
       break;

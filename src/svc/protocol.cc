@@ -7,8 +7,6 @@
 #include <unistd.h>
 
 #include "core/checkpoint.h"
-#include "obs/metrics.h"
-#include "util/fault_injection.h"
 #include "util/strings.h"
 
 namespace cousins::svc {
@@ -69,10 +67,6 @@ Status WriteFrame(int fd, std::string_view body) {
   if (body.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame body exceeds kMaxFrameBytes");
   }
-  if (fault::Fired("svc.write")) {
-    COUSINS_METRIC_COUNTER_ADD("svc.write_failures", 1);
-    return Status::Unavailable("injected fault at svc.write");
-  }
   char header[8];
   PutU32(header, static_cast<uint32_t>(body.size()));
   PutU32(header + 4, internal::Crc32(body.data(), body.size()));
@@ -87,10 +81,6 @@ Status WriteFrame(int fd, std::string_view body) {
 }
 
 Result<bool> ReadFrame(int fd, std::string* body) {
-  if (fault::Fired("svc.read")) {
-    COUSINS_METRIC_COUNTER_ADD("svc.read_failures", 1);
-    return Status::Unavailable("injected fault at svc.read");
-  }
   char header[8];
   Status error;
   const int rc = ReadAll(fd, header, sizeof(header), &error);

@@ -36,13 +36,15 @@ namespace cousins::svc {
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
 /// Writes one frame with retrying short writes. kUnavailable on any
-/// stream error; fault site svc.write simulates one.
+/// stream error (the daemon's fault site svc.write, checked in
+/// ServeConnection, simulates one).
 Status WriteFrame(int fd, std::string_view body);
 
 /// Reads one frame into `body`. Returns false on clean EOF at a frame
 /// boundary (client closed the connection); kCorruption on a torn
 /// frame, CRC mismatch or oversized length; kUnavailable on a stream
-/// error (fault site svc.read simulates one).
+/// error (the daemon's fault site svc.read, checked in
+/// ServeConnection, simulates one).
 Result<bool> ReadFrame(int fd, std::string* body);
 
 /// One parsed request frame.

@@ -10,15 +10,22 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/kernel_dispatch.h"
 #include "core/mining_scratch.h"
-#include "core/pair_count_map.h"
+#include "core/multi_tree_mining.h"
+#include "core/naive_mining.h"
 #include "core/simd_fold.h"
 #include "core/single_tree_mining.h"
+#include "core/tally_map.h"
 #include "gen/fanout_generator.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace cousins {
@@ -26,11 +33,11 @@ namespace {
 
 using internal::ActiveKernels;
 using internal::Avx2KernelsIfSupported;
+using internal::CountMap;
 using internal::FlatCounts;
 using internal::FoldBuffer;
 using internal::FoldKernels;
 using internal::PackLabelPair;
-using internal::PairCountMap;
 using internal::ScalarKernels;
 
 /// Restores the auto dispatch mode when a test scope ends, so a forced
@@ -41,7 +48,7 @@ struct SimdModeGuard {
 
 /// The full observable state of an accumulator, in slot (ForEach)
 /// order — equal vectors mean byte-identical table layouts.
-std::vector<std::pair<uint64_t, int64_t>> Layout(const PairCountMap& m) {
+std::vector<std::pair<uint64_t, int64_t>> Layout(const CountMap& m) {
   std::vector<std::pair<uint64_t, int64_t>> out;
   m.ForEach([&](uint64_t key, int64_t count) { out.push_back({key, count}); });
   return out;
@@ -97,7 +104,6 @@ TEST(SimdDispatchTest, KernelTablesAreConsistent) {
   EXPECT_EQ(scalar.tier, SimdTier::kScalar);
   EXPECT_NE(scalar.add_product, nullptr);
   EXPECT_NE(scalar.normalize, nullptr);
-  EXPECT_NE(scalar.pack_item_keys, nullptr);
   const FoldKernels* avx2 = Avx2KernelsIfSupported();
   EXPECT_EQ(avx2 != nullptr, CpuSupportsAvx2());
   if (avx2 != nullptr) {
@@ -109,7 +115,7 @@ TEST(SimdDispatchTest, KernelTablesAreConsistent) {
 TEST(SimdDispatchTest, ScalarKernelCountsFallbacks) {
   FlatCounts a = {{1, 2}};
   FlatCounts b = {{2, 3}};
-  PairCountMap acc;
+  CountMap acc;
   FoldBuffer buf;
   ScalarKernels().add_product(a, b, +1, &acc, &buf);
   EXPECT_EQ(buf.scalar_fallbacks, 1);
@@ -156,8 +162,8 @@ TEST(SimdFoldPropertyTest, AddProductMatchesScalarLayoutExactly) {
     const FlatCounts b = RandomCounts(rng, nb, 8, huge);
     const int64_t sign = rng.Uniform(2) == 0 ? 1 : -1;
 
-    PairCountMap scalar_acc;
-    PairCountMap avx2_acc;
+    CountMap scalar_acc;
+    CountMap avx2_acc;
     FoldBuffer scalar_buf;
     FoldBuffer avx2_buf;
     // Two passes per round so the second lands on a warm, partly
@@ -176,7 +182,7 @@ TEST(SimdFoldPropertyTest, Avx2CountsBatchesAndFallbacks) {
   const FoldKernels* avx2 = Avx2KernelsIfSupported();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 on this machine";
   FoldBuffer buf;
-  PairCountMap acc;
+  CountMap acc;
   const FlatCounts a = {{1, 1}, {2, 1}};
   const FlatCounts wide = {{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}};
   avx2->add_product(a, wide, +1, &acc, &buf);
@@ -223,29 +229,6 @@ TEST(SimdFoldPropertyTest, NormalizeHandlesDegenerateSizes) {
   EXPECT_EQ(runs, (FlatCounts{{5, 80}}));
 }
 
-TEST(SimdFoldPropertyTest, PackItemKeysMatchesScalarForAllTails) {
-  const FoldKernels* avx2 = Avx2KernelsIfSupported();
-  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(777);
-  for (size_t n = 0; n < 40; ++n) {  // covers every remainder 0–7 twice
-    std::vector<CousinPairItem> items;
-    items.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      CousinPairItem item;
-      item.label1 = static_cast<LabelId>(rng.Uniform(1 << 20));
-      item.label2 = static_cast<LabelId>(rng.Uniform(1 << 20));
-      item.twice_distance = static_cast<int>(rng.Uniform(4));
-      item.occurrences = static_cast<int64_t>(rng.Uniform(100));
-      items.push_back(item);
-    }
-    std::vector<uint64_t> scalar_keys(n, 0);
-    std::vector<uint64_t> avx2_keys(n, 1);
-    internal::PackItemKeysScalar(items.data(), n, scalar_keys.data());
-    avx2->pack_item_keys(items.data(), n, avx2_keys.data());
-    ASSERT_EQ(scalar_keys, avx2_keys) << "n=" << n;
-  }
-}
-
 TEST(SimdFoldPropertyTest, MinedItemsIdenticalAcrossTiers) {
   if (Avx2KernelsIfSupported() == nullptr) {
     GTEST_SKIP() << "no AVX2 on this machine";
@@ -276,6 +259,75 @@ TEST(SimdFoldPropertyTest, MinedItemsIdenticalAcrossTiers) {
       EXPECT_EQ(scalar_items[i].occurrences, avx2_items[i].occurrences);
     }
   }
+}
+
+/// Mines a forest whose distance-0 tally table outgrows its presize in
+/// the middle of one tree's fold, under `mode`, and checks the tallies
+/// (live and after a checkpoint round trip) against a naive per-tree
+/// oracle. The 800-label alphabet (> 512) caps the presize at 2^16 live
+/// entries, i.e. 131072 slots that grow at 91750 entries. Tree 1, a
+/// 400-leaf star, stores 79800 sibling pairs; tree 2, an 800-leaf star
+/// interleaving tree 1's leaves with 400 new ones, adds 239800 more, so
+/// the table grows early in its fold and tree 1's pairs keep recurring
+/// after the grow.
+void CheckMidFoldTallyGrowth(SimdMode mode) {
+  SimdModeGuard guard;
+  SetSimdMode(mode);
+  auto labels = std::make_shared<LabelTable>();
+  std::string star1 = "(";
+  std::string star2 = "(";
+  for (int i = 0; i < 400; ++i) {
+    star1 += (i == 0 ? "t" : ",t") + std::to_string(i);
+    star2 += (i == 0 ? "t" : ",t") + std::to_string(i) + ",t" +
+             std::to_string(400 + i);
+  }
+  std::vector<Tree> forest;
+  forest.push_back(testing_util::MustParse(star1 + ");", labels));
+  forest.push_back(testing_util::MustParse(star2 + ");", labels));
+
+  const MultiTreeMiningOptions options;
+  std::map<std::tuple<LabelId, LabelId, int>, FrequentCousinPair> oracle;
+  for (const Tree& tree : forest) {
+    for (const CousinPairItem& item :
+         MineSingleTreeNaive(tree, options.per_tree)) {
+      FrequentCousinPair& row =
+          oracle[{item.label1, item.label2, item.twice_distance}];
+      row.label1 = item.label1;
+      row.label2 = item.label2;
+      row.twice_distance = item.twice_distance;
+      ++row.support;
+      row.total_occurrences += item.occurrences;
+    }
+  }
+  std::vector<FrequentCousinPair> expected;
+  for (const auto& [key, row] : oracle) expected.push_back(row);
+  ASSERT_EQ(expected.size(), 79800u + 239800u);
+
+  MultiTreeMiner miner(options);
+  for (const Tree& tree : forest) miner.AddTree(tree);
+  EXPECT_GT(miner.accumulator_stats().tally_grows, 0)
+      << "the forest did not outgrow the tally presize";
+  EXPECT_EQ(miner.accumulator_stats().tally_entries,
+            static_cast<int64_t>(expected.size()));
+  const std::vector<FrequentCousinPair> mined = miner.AllTallies();
+  EXPECT_EQ(mined.size(), expected.size());
+  EXPECT_TRUE(mined == expected);
+
+  Result<MultiTreeMiner> restored = MultiTreeMiner::RestoreFromCheckpoint(
+      miner.SerializeCheckpoint(), options, labels);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().AllTallies() == expected);
+}
+
+TEST(ForestTallyGrowthTest, MidFoldGrowMatchesNaiveOracleScalar) {
+  CheckMidFoldTallyGrowth(SimdMode::kScalar);
+}
+
+TEST(ForestTallyGrowthTest, MidFoldGrowMatchesNaiveOracleAvx2) {
+  if (Avx2KernelsIfSupported() == nullptr) {
+    GTEST_SKIP() << "no AVX2 on this machine";
+  }
+  CheckMidFoldTallyGrowth(SimdMode::kAvx2);
 }
 
 }  // namespace

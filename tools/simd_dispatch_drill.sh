@@ -13,9 +13,10 @@
 #
 # The drill mines a generated fig6-style synthetic corpus (varied
 # shapes, rotating labels, a couple hundred trees — enough to exercise
-# the dense accumulator, the 4-lane key pack, and the scalar tails)
-# plus the committed phylogeny corpora, under both modes, and byte-
-# compares every output pair.
+# the dense accumulator, the 4-lane kernels, and the scalar tails), a
+# generated large-alphabet corpus whose forest tallies outgrow their
+# presize mid-fold, and the committed phylogeny corpora, under both
+# modes, and byte-compares every output pair.
 #
 # On hardware without AVX2 the drill prints a loud skip notice and
 # exits 0: there is nothing to cross-check when only one dispatch path
@@ -78,6 +79,22 @@ compare() {
 
 compare "synthetic frequent CSV" frequent "$FOREST" --csv --minsup=2
 compare "synthetic mine listing" mine "$FOREST"
+
+# Large-alphabet corpus: the corpus above has about 40 labels, so its
+# tallies never outgrow the forest presize. Here 800 labels (> 512) cap
+# the presize at 2^16 live entries: 131072 slots, grown at 91750. A
+# 400-leaf star stores 79800 sibling pairs, then an 800-leaf star
+# interleaving those leaves with 400 new ones adds 239800 more, so the
+# distance-0 table grows in the middle of that tree's fold while pairs
+# of the first tree keep recurring after the grow.
+BIG="$WORK/large_alphabet.nwk"
+awk 'BEGIN {
+  s = "("; for (i = 0; i < 400; i++) s = s (i ? "," : "") "T" i
+  print s ");"
+  s = "("; for (i = 0; i < 400; i++) s = s (i ? "," : "") "T" i ",T" (400 + i)
+  print s ");"
+}' > "$BIG"
+compare "large-alphabet frequent CSV" frequent "$BIG" --csv --minsup=2
 
 HERE=$(cd "$(dirname "$0")" && pwd)
 compare "seed_plants frequent CSV" \
